@@ -136,7 +136,17 @@ func BenchmarkPDGBuild(b *testing.B) {
 }
 
 func BenchmarkInterp(b *testing.B) {
-	p, err := core.Compile(bench.ProgramByName("sieve").Source, core.Config{Allocator: core.AllocRAP, K: 5})
+	benchInterp(b, "sieve", core.Config{Allocator: core.AllocRAP, K: 5})
+}
+
+// BenchmarkInterpRecursive times the call path: hanoi's recursion under
+// irc, whose code runs on the shared physical register file.
+func BenchmarkInterpRecursive(b *testing.B) {
+	benchInterp(b, "hanoi", core.Config{Allocator: core.AllocIRC, K: 5})
+}
+
+func benchInterp(b *testing.B, name string, cfg core.Config) {
+	p, err := core.Compile(bench.ProgramByName(name).Source, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,6 +160,7 @@ func BenchmarkInterp(b *testing.B) {
 		cycles = res.Total.Cycles
 	}
 	b.ReportMetric(float64(cycles), "cycles/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles)/float64(b.N), "ns/cycle")
 }
 
 // BenchmarkChaitinSingleFunction isolates the baseline allocator on the

@@ -223,6 +223,15 @@ func RunContext(ctx context.Context, p *ir.Program) (*interp.Result, error) {
 	return interp.Run(p, interp.Options{Context: ctx})
 }
 
+// timedRun is RunContext timed under the "interp" phase of tr's
+// metrics registry: wall-clock only, so the deterministic sections of a
+// snapshot do not change.
+func timedRun(ctx context.Context, p *ir.Program, tr *obs.Tracer) (*interp.Result, error) {
+	stop := tr.StartTimer("interp")
+	defer stop()
+	return RunContext(ctx, p)
+}
+
 // Measurement is one routine's executed-instruction statistics under the
 // compared allocators for one register set size.
 type Measurement struct {
@@ -374,7 +383,7 @@ func CompileRef(src string, cfg CompareConfig) (*RefRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := Run(ref)
+	res, err := timedRun(context.TODO(), ref, cfg.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("unallocated run: %w", err)
 	}
@@ -386,7 +395,9 @@ func CompileRef(src string, cfg CompareConfig) (*RefRun, error) {
 func verifyAllocation(label string, ref *RefRun, alloc *ir.Program, k int, cfg CompareConfig) error {
 	m := cfg.Trace.Metrics()
 	m.Add("verify.programs", 1)
+	stop := cfg.Trace.StartTimer("verify")
 	err := verify.Program(ref.Prog, alloc, k, verify.Options{Rematerialize: cfg.Rematerialize})
+	stop()
 	if err != nil {
 		m.Add("verify.failures", 1)
 		return fmt.Errorf("%s k=%d failed verification: %w", label, k, err)
@@ -423,7 +434,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	graRes, err := RunContext(ctx, graProg)
+	graRes, err := timedRun(ctx, graProg, cfg.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("gra k=%d run: %w", k, err)
 	}
@@ -445,7 +456,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rapRes, err := RunContext(ctx, rapProg)
+	rapRes, err := timedRun(ctx, rapProg, cfg.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("rap k=%d run: %w", k, err)
 	}
@@ -467,7 +478,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ircRes, err := RunContext(ctx, ircProg)
+	ircRes, err := timedRun(ctx, ircProg, cfg.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("irc k=%d run: %w", k, err)
 	}

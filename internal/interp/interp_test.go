@@ -1,10 +1,18 @@
 package interp_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
@@ -415,4 +423,197 @@ end`, interp.Options{})
 	if res.Output[0] != "143" {
 		t.Errorf("output = %v, want 143", res.Output)
 	}
+}
+
+// TestLazyMemoryEdges pins the memory semantics the lazily grown memory
+// must keep: the last word under GlobalWords+StackWords is usable, a word
+// never stored to reads 0, and the limit itself is out of range.
+func TestLazyMemoryEdges(t *testing.T) {
+	const src = `
+globals 10
+func main params=0 locals=0
+	loadI %d => r1
+	loadI 7 => r2
+	stm r2 => r1
+	ldm r1 => r3
+	print r3
+	loadI %d => r4
+	ldm r4 => r5
+	print r5
+	ret
+end`
+	const stack = 1 << 20
+	limit := 10 + stack
+	res, err := runProgram(t, fmt.Sprintf(src, limit-1, limit-2), interp.Options{StackWords: stack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Output, ","); got != "7,0" {
+		t.Errorf("output = %s, want 7,0", got)
+	}
+	_, err = runProgram(t, fmt.Sprintf(src, limit, limit-2), interp.Options{StackWords: stack})
+	if err == nil || !strings.Contains(err.Error(), "memory access out of range") {
+		t.Errorf("store at the limit: err = %v, want memory access out of range", err)
+	}
+}
+
+// TestRecursionOverflowDepth: a recursive function with locals overflows
+// a small stack at the depth its frames fill it, ten 10-word frames in
+// 100 words.
+func TestRecursionOverflowDepth(t *testing.T) {
+	res, err := runProgram(t, `
+func main params=0 locals=0
+	loadI 0 => r1
+	arg r1
+	call rec() => r2
+	ret
+end
+func rec params=1 locals=10
+	getparam 0 => r1
+	print r1
+	lea 9 => r2
+	stm r1 => r2
+	loadI 1 => r3
+	add r1, r3 => r4
+	arg r4
+	call rec() => r5
+	ret
+end`, interp.Options{StackWords: 100})
+	if err == nil || !strings.Contains(err.Error(), "stack overflow in rec") {
+		t.Fatalf("err = %v, want stack overflow in rec", err)
+	}
+	if len(res.Output) != 10 {
+		t.Errorf("%d prints before the overflow, want 10", len(res.Output))
+	}
+}
+
+// TestUnknownLabelOnlyWhenTaken: a branch to a missing label is an error
+// only if it executes.
+func TestUnknownLabelOnlyWhenTaken(t *testing.T) {
+	res, err := runProgram(t, `
+func main params=0 locals=0
+	loadI 1 => r1
+	cbr r1 -> L, Missing
+L:
+	ret r1
+	jump -> Missing
+end`, interp.Options{})
+	if err != nil || res.Ret != 1 {
+		t.Fatalf("dead branches to a missing label: ret %v, err %v", res, err)
+	}
+	for _, branch := range []string{"jump -> Missing", "cbr r1 -> Missing, L"} {
+		_, err := runProgram(t, `
+func main params=0 locals=0
+	loadI 1 => r1
+	`+branch+`
+L:
+	ret r1
+end`, interp.Options{})
+		if err == nil || !strings.Contains(err.Error(), `unknown label "Missing"`) {
+			t.Errorf("%s: err = %v, want unknown label", branch, err)
+		}
+	}
+}
+
+// TestBadRegisterFailsFirstCall: register validation rejects a function
+// on its first call, before it executes anything, and never a function
+// that is not called.
+func TestBadRegisterFailsFirstCall(t *testing.T) {
+	const src = `
+func main params=0 locals=0
+	loadI 1 => r1
+	print r1
+	%s
+	ret
+end
+func bad params=0 locals=0 k=2 spills=0
+	loadI 1 => r3
+	print r3
+	ret
+end`
+	res, err := runProgram(t, fmt.Sprintf(src, ""), interp.Options{})
+	if err != nil || len(res.Output) != 1 {
+		t.Fatalf("uncalled bad function: output %v, err %v", res, err)
+	}
+	res, err = runProgram(t, fmt.Sprintf(src, "call bad()"), interp.Options{})
+	if err == nil || err.Error() != "interp: bad: register r3 out of range (2 registers)" {
+		t.Fatalf("err = %v, want register r3 out of range", err)
+	}
+	if len(res.Output) != 1 || res.PerFunc["bad"] != nil {
+		t.Errorf("bad executed: output %v, stats %v", res.Output, res.PerFunc["bad"])
+	}
+}
+
+// TestMemoryLayoutErrors: a program whose memory cannot be laid out is
+// rejected with ErrMemoryLayout before anything is allocated.
+func TestMemoryLayoutErrors(t *testing.T) {
+	const body = `
+func main params=0 locals=0
+	ret
+end`
+	for name, tc := range map[string]struct {
+		header string
+		opts   interp.Options
+	}{
+		"huge globals":      {"globals 3000000000", interp.Options{}},
+		"globals at limit":  {"globals 16777216", interp.Options{StackWords: 1}},
+		"negative globals":  {"globals -1", interp.Options{}},
+		"negative stack":    {"globals 1", interp.Options{StackWords: -1}},
+		"init past globals": {"globals 2\ninit 2 = 5", interp.Options{}},
+		"negative init":     {"globals 2\ninit -1 = 5", interp.Options{}},
+	} {
+		start := time.Now()
+		_, err := runProgram(t, tc.header+body, tc.opts)
+		if !errors.Is(err, interp.ErrMemoryLayout) {
+			t.Errorf("%s: err = %v, want ErrMemoryLayout", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: took %v", name, d)
+		}
+	}
+	if _, err := runProgram(t, "globals 16777215"+body, interp.Options{StackWords: 1}); err != nil {
+		t.Errorf("memory of exactly MaxMemoryWords: %v", err)
+	}
+	// A register file too large to allocate fails the function's call.
+	_, err := runProgram(t, "func main params=0 locals=0\n\tloadI 1 => r20000000\n\tret\nend", interp.Options{})
+	if !errors.Is(err, interp.ErrMemoryLayout) {
+		t.Errorf("huge register file: err = %v, want ErrMemoryLayout", err)
+	}
+}
+
+// TestRunsAreIndependent: the decoded form belongs to one Run, so
+// repeated and concurrent runs of one program agree exactly. hanoi under
+// irc recurses on the shared physical register file.
+func TestRunsAreIndependent(t *testing.T) {
+	p, err := core.Compile(bench.ProgramByName("hanoi").Source, core.Config{Allocator: core.AllocIRC, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := interp.Run(p, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := interp.Run(p, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, again) {
+		t.Fatalf("second run differs:\n%+v\n%+v", want, again)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := interp.Run(p, interp.Options{Context: context.Background()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("concurrent run differs:\n%+v\n%+v", want, got)
+			}
+		}()
+	}
+	wg.Wait()
 }

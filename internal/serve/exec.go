@@ -102,7 +102,10 @@ func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, err
 		if err != nil {
 			return nil, fmt.Errorf("reference compile: %w", err)
 		}
-		if err := verify.Program(ref, p, job.K, verify.Options{Rematerialize: job.Rematerialize}); err != nil {
+		stop := opts.Tracer.StartTimer("verify")
+		err = verify.Program(ref, p, job.K, verify.Options{Rematerialize: job.Rematerialize})
+		stop()
+		if err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
 		out.Verified = true
@@ -177,7 +180,8 @@ func Classify(err error) string {
 	case errors.Is(err, ErrBadJob),
 		errors.Is(err, core.ErrBadSource),
 		errors.Is(err, core.ErrBadAllocator),
-		errors.Is(err, core.ErrBadK):
+		errors.Is(err, core.ErrBadK),
+		errors.Is(err, interp.ErrMemoryLayout):
 		return StatusInvalid
 	case errors.Is(err, fuzz.ErrUnitTimeout), errors.Is(err, context.DeadlineExceeded):
 		return StatusTimeout

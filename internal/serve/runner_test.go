@@ -96,6 +96,7 @@ func TestRunnerInvalidJobs(t *testing.T) {
 		"bad allocator": {Source: goodSrc, Allocator: "llvm", K: 5},
 		"bad k":         {Source: goodSrc, Allocator: "rap", K: 1},
 		"syntax error":  {Source: badSyntaxSrc},
+		"huge globals":  {Source: "int big[3000000000]; int main() { return 0; }"},
 	} {
 		res, err := r.Do(context.Background(), job)
 		if err != nil {
