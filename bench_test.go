@@ -10,9 +10,9 @@
 //     paper motivates with Figure 7.
 //   - BenchmarkAblation* quantify RAP's phase 2 (loop spill motion, §3.2)
 //     and phase 3 (load/store elimination, §3.3) on the whole suite.
-//   - BenchmarkAlloc*/BenchmarkPDGBuild/BenchmarkInterp measure the
-//     infrastructure itself (compile-time costs, which §1 contrasts with
-//     Proebsting/Fischer's expensive approach).
+//   - BenchmarkAlloc*/BenchmarkFrontEnd*/BenchmarkPDGBuild/BenchmarkInterp
+//     measure the infrastructure itself (compile-time costs, which §1
+//     contrasts with Proebsting/Fischer's expensive approach).
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -109,6 +109,43 @@ func BenchmarkAllocRAP(b *testing.B) {
 		_, err := core.Compile(src, core.Config{Allocator: core.AllocRAP, K: 5})
 		return err
 	})
+}
+
+// BenchmarkAllocRAPSpill times RAP where spill rounds dominate: wide16's
+// sixteen sibling loop nests at k=3, each needing its own rounds.
+func BenchmarkAllocRAPSpill(b *testing.B) {
+	var src string
+	for _, p := range bench.WidePrograms() {
+		if p.Name == "wide16" {
+			src = p.Source
+		}
+	}
+	p, err := testutil.Compile(src, lower.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tmpl := p.Func("wide")
+	rounds := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := rap.AllocateWithStats(tmpl.Clone(), 3, rap.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += st.SpillRounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "spill_rounds/op")
+}
+
+// BenchmarkFrontEndDeep compiles a chain of 1000 nested if statements
+// without allocation: region-tree depth is what it stresses.
+func BenchmarkFrontEndDeep(b *testing.B) {
+	src := testutil.NestedIfs(1000)
+	for i := 0; i < b.N; i++ {
+		if _, err := testutil.Compile(src, lower.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkFrontEnd(b *testing.B) {

@@ -4,6 +4,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -33,87 +34,110 @@ type Block struct {
 }
 
 // Build constructs the CFG for f. It returns an error if a branch targets
-// an unknown label.
+// an unknown label. The edge lists are capacity-limited windows of shared
+// arenas, so building costs a handful of allocations whatever the size.
 func Build(f *ir.Function) (*Graph, error) {
 	g := &Graph{F: f}
 	n := len(f.Instrs)
 	labels := f.LabelIndex()
 	g.InstrSuccs = make([][]int, n)
 	g.InstrPreds = make([][]int, n)
+	// A successor list has at most two entries.
+	succs := make([]int, 0, 2*n)
+	npreds := make([]int32, n)
 	for i, in := range f.Instrs {
-		var succs []int
+		at := len(succs)
 		switch in.Op {
 		case ir.OpJump:
 			t, ok := labels[in.Label]
 			if !ok {
 				return nil, fmt.Errorf("%s: jump to unknown label %q", f.Name, in.Label)
 			}
-			succs = []int{t}
+			succs = append(succs, t)
 		case ir.OpCBr:
 			t1, ok1 := labels[in.Label]
 			t2, ok2 := labels[in.Label2]
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("%s: cbr to unknown label %q/%q", f.Name, in.Label, in.Label2)
 			}
-			if t1 == t2 {
-				succs = []int{t1}
-			} else {
-				succs = []int{t1, t2}
+			succs = append(succs, t1)
+			if t1 != t2 {
+				succs = append(succs, t2)
 			}
 		case ir.OpRet:
 			// no successors
 		default:
 			if i+1 < n {
-				succs = []int{i + 1}
+				succs = append(succs, i+1)
 			}
 		}
-		g.InstrSuccs[i] = succs
+		if len(succs) > at {
+			g.InstrSuccs[i] = succs[at:len(succs):len(succs)]
+			for _, t := range g.InstrSuccs[i] {
+				npreds[t]++
+			}
+		}
 	}
-	for i, succs := range g.InstrSuccs {
-		for _, s := range succs {
+	preds := make([]int, len(succs))
+	at := 0
+	for i, c := range npreds {
+		if c > 0 {
+			g.InstrPreds[i] = preds[at : at : at+int(c)]
+			at += int(c)
+		}
+	}
+	for i, ss := range g.InstrSuccs {
+		for _, s := range ss {
 			g.InstrPreds[s] = append(g.InstrPreds[s], i)
 		}
 	}
-	g.buildBlocks(labels)
+	g.buildBlocks()
 	return g, nil
 }
 
-func (g *Graph) buildBlocks(labels map[string]int) {
+func (g *Graph) buildBlocks() {
 	n := len(g.F.Instrs)
 	if n == 0 {
 		return
 	}
 	leader := make([]bool, n)
 	leader[0] = true
+	nb := 1
 	for i, in := range g.F.Instrs {
-		if in.Op == ir.OpLabel {
+		if in.Op == ir.OpLabel && i > 0 && !leader[i] {
 			leader[i] = true
+			nb++
 		}
-		if in.IsBranch() && i+1 < n {
+		if in.IsBranch() && i+1 < n && !leader[i+1] {
 			leader[i+1] = true
+			nb++
 		}
 	}
+	blocks := make([]Block, 0, nb)
+	g.Blocks = make([]*Block, 0, nb)
 	g.BlockOf = make([]int, n)
 	for i := 0; i < n; i++ {
 		if leader[i] {
-			b := &Block{ID: len(g.Blocks), Start: i}
-			g.Blocks = append(g.Blocks, b)
+			blocks = append(blocks, Block{ID: len(blocks), Start: i})
+			g.Blocks = append(g.Blocks, &blocks[len(blocks)-1])
 		}
 		cur := g.Blocks[len(g.Blocks)-1]
 		cur.End = i + 1
 		g.BlockOf[i] = cur.ID
 	}
 	// Block edges come from the last instruction's successors plus
-	// fallthrough (which InstrSuccs already covers).
+	// fallthrough (which InstrSuccs already covers); a last instruction
+	// has at most two successors, so duplicates are checked pairwise.
+	edges := make([]int, 0, 2*nb)
 	for _, b := range g.Blocks {
-		last := b.End - 1
-		seen := map[int]bool{}
-		for _, s := range g.InstrSuccs[last] {
-			sb := g.BlockOf[s]
-			if !seen[sb] {
-				seen[sb] = true
-				b.Succs = append(b.Succs, sb)
+		at := len(edges)
+		for _, s := range g.InstrSuccs[b.End-1] {
+			if sb := g.BlockOf[s]; !slices.Contains(edges[at:], sb) {
+				edges = append(edges, sb)
 			}
+		}
+		if len(edges) > at {
+			b.Succs = edges[at:len(edges):len(edges)]
 		}
 	}
 	for _, b := range g.Blocks {

@@ -3,6 +3,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -29,14 +30,22 @@ type Liveness struct {
 // block) followed by one backward sweep inside each block to fill the
 // per-instruction sets.
 func ComputeLiveness(g *cfg.Graph) *Liveness {
+	return ComputeLivenessCap(g, 0)
+}
+
+// ComputeLivenessCap is ComputeLiveness with per-instruction sets sized
+// for at least capRegs registers, so a caller that adds registers later
+// can record their liveness in place (see Reflow).
+func ComputeLivenessCap(g *cfg.Graph, capRegs int) *Liveness {
 	f := g.F
 	n := len(f.Instrs)
 	numRegs := int(f.NextReg)
-	batch := bitset.NewBatch(2*n, numRegs)
+	capRegs = max(numRegs, capRegs)
+	batch := bitset.NewBatch(2*n, capRegs)
 	lv := &Liveness{
 		LiveIn:  batch[:n],
 		LiveOut: batch[n:],
-		NumRegs: numRegs,
+		NumRegs: capRegs,
 	}
 	// Precompute use/def per instruction. The per-instruction use lists
 	// are slices of one flat arena (grown by appending each instruction's
@@ -100,7 +109,8 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 			}
 		}
 	}
-	// Fill per-instruction sets with one backward sweep per block.
+	// Fill per-instruction sets with one backward sweep per block (Copy
+	// leaves any spare capacity words zero).
 	for b, blk := range g.Blocks {
 		tmp.Copy(blockOut[b])
 		for i := blk.End - 1; i >= blk.Start; i-- {
@@ -117,15 +127,75 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 	return lv
 }
 
+// Forget removes register r from every set by a backward walk from its
+// use sites over g, the graph the sets describe, so the cost is the size
+// of r's live range rather than of the function. It returns stack, as
+// scratch space for reuse.
+func (lv *Liveness) Forget(g *cfg.Graph, r ir.Reg, uses, stack []int) []int {
+	ri := int(r)
+	stack = stack[:0]
+	for _, u := range uses {
+		if lv.LiveIn[u].Has(ri) {
+			lv.LiveIn[u].Remove(ri)
+			stack = append(stack, u)
+		}
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InstrPreds[i] {
+			lv.LiveOut[p].Remove(ri)
+			if lv.LiveIn[p].Has(ri) {
+				lv.LiveIn[p].Remove(ri)
+				stack = append(stack, p)
+			}
+		}
+	}
+	return stack
+}
+
+// Reflow recomputes register r's liveness from its use sites (ascending
+// or not) by a backward walk over g's predecessor edges that stops at
+// definitions of r. r's bit must be clear in every set beforehand and
+// below NumRegs. Liveness is a per-register least fixpoint, so the result
+// is exactly what ComputeLiveness gives for r on g. stack is scratch
+// space, returned for reuse.
+func (lv *Liveness) Reflow(g *cfg.Graph, r ir.Reg, uses, stack []int) []int {
+	ri := int(r)
+	stack = stack[:0]
+	for _, u := range uses {
+		if !lv.LiveIn[u].Has(ri) {
+			lv.LiveIn[u].Add(ri)
+			stack = append(stack, u)
+		}
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InstrPreds[i] {
+			lv.LiveOut[p].Add(ri)
+			if lv.LiveIn[p].Has(ri) || g.F.Instrs[p].Def() == r {
+				continue
+			}
+			lv.LiveIn[p].Add(ri)
+			stack = append(stack, p)
+		}
+	}
+	return stack
+}
+
 // DefUse records, for every register, where it is defined and used, and
 // answers which uses each definition reaches. Reaching sets are computed
 // lazily per definition (the allocator only ever asks about the handful
 // of registers it spills) and memoized.
 type DefUse struct {
-	// Defs[r] lists instruction indices that define register r.
-	Defs map[ir.Reg][]int
-	// Uses[r] lists instruction indices that use register r.
-	Uses map[ir.Reg][]int
+	// Defs[r] lists, ascending, the instruction indices that define
+	// register r. It is indexed by register and covers every register
+	// below the function's NextReg and every register the body mentions.
+	Defs [][]int
+	// Uses[r] lists, ascending, the instruction indices that use
+	// register r, indexed like Defs.
+	Uses [][]int
 
 	g       *cfg.Graph
 	usesAt  [][]ir.Reg
@@ -143,14 +213,12 @@ type defKey struct {
 	Reg   ir.Reg
 }
 
-// ComputeDefUse builds def/use site tables for g's function in one scan;
-// reaching queries walk the CFG on demand.
+// ComputeDefUse builds def/use site tables for g's function in two
+// linear scans; reaching queries walk the CFG on demand.
 func ComputeDefUse(g *cfg.Graph) *DefUse {
 	f := g.F
 	n := len(f.Instrs)
 	du := &DefUse{
-		Defs:    map[ir.Reg][]int{},
-		Uses:    map[ir.Reg][]int{},
 		g:       g,
 		usesAt:  make([][]ir.Reg, n),
 		defAt:   make([]ir.Reg, n),
@@ -160,6 +228,7 @@ func ComputeDefUse(g *cfg.Graph) *DefUse {
 	// The deduplicated per-instruction use lists are slices of one flat
 	// arena rather than n separate allocations.
 	offs := make([]int32, n+1)
+	nregs := int(f.NextReg)
 	var flat, buf []ir.Reg
 	for i, in := range f.Instrs {
 		buf = in.Uses(buf[:0])
@@ -174,17 +243,52 @@ func ComputeDefUse(g *cfg.Graph) *DefUse {
 			}
 			if !dup {
 				flat = append(flat, u)
-				du.Uses[u] = append(du.Uses[u], i)
+				nregs = max(nregs, int(u)+1)
 			}
 		}
 		offs[i+1] = int32(len(flat))
 		du.defAt[i] = in.Def()
-		if d := du.defAt[i]; d != ir.None {
-			du.Defs[d] = append(du.Defs[d], i)
-		}
+		nregs = max(nregs, int(du.defAt[i])+1)
 	}
 	for i := range du.usesAt {
 		du.usesAt[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
+	}
+	// Site lists are capacity-limited windows of one arena: count each
+	// register's sites, carve the windows, then fill them in instruction
+	// order.
+	nDefs := make([]int32, nregs)
+	nUses := make([]int32, nregs)
+	for i := 0; i < n; i++ {
+		if d := du.defAt[i]; d != ir.None {
+			nDefs[d]++
+		}
+		for _, u := range du.usesAt[i] {
+			nUses[u]++
+		}
+	}
+	sites := make([]int, 0, n+len(flat))
+	du.Defs = make([][]int, nregs)
+	du.Uses = make([][]int, nregs)
+	carve := func(cnt int32) []int {
+		at := len(sites)
+		sites = sites[:at+int(cnt)]
+		return sites[at : at : at+int(cnt)]
+	}
+	for r := 0; r < nregs; r++ {
+		if nDefs[r] > 0 {
+			du.Defs[r] = carve(nDefs[r])
+		}
+		if nUses[r] > 0 {
+			du.Uses[r] = carve(nUses[r])
+		}
+	}
+	for i := 0; i < n; i++ {
+		if d := du.defAt[i]; d != ir.None {
+			du.Defs[d] = append(du.Defs[d], i)
+		}
+		for _, u := range du.usesAt[i] {
+			du.Uses[u] = append(du.Uses[u], i)
+		}
 	}
 	return du
 }
@@ -226,6 +330,61 @@ func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
 	sort.Ints(reached)
 	du.reached[key] = reached
 	return reached
+}
+
+// ReachedUsesFrom returns, ascending, the uses of r reached by any of
+// the definitions at defs: the union of their ReachedUses. Reachability
+// stops at definitions of r whichever walk meets them, so one walk from
+// all the definitions at once finds the union.
+func (du *DefUse) ReachedUsesFrom(defs []int, r ir.Reg) []int {
+	du.gen++
+	var stack, reached []int
+	for _, d := range defs {
+		stack = append(stack, du.g.InstrSuccs[d]...)
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if du.visited[i] == du.gen {
+			continue
+		}
+		du.visited[i] = du.gen
+		if slices.Contains(du.usesAt[i], r) {
+			reached = append(reached, i)
+		}
+		if du.defAt[i] != r {
+			stack = append(stack, du.g.InstrSuccs[i]...)
+		}
+	}
+	slices.Sort(reached)
+	return reached
+}
+
+// DefsReaching returns, ascending, the definitions of r that reach any of
+// uses: every d whose ReachedUses(d, r) meets uses. It walks backward from
+// the uses through instructions that do not define r, so its cost is one
+// pass over the function however many definitions r has.
+func (du *DefUse) DefsReaching(uses []int, r ir.Reg) []int {
+	du.gen++
+	var defs []int
+	stack := append([]int(nil), uses...)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range du.g.InstrPreds[i] {
+			if du.visited[p] == du.gen {
+				continue
+			}
+			du.visited[p] = du.gen
+			if du.defAt[p] == r {
+				defs = append(defs, p)
+			} else {
+				stack = append(stack, p)
+			}
+		}
+	}
+	slices.Sort(defs)
+	return defs
 }
 
 // DefReachesUseOutside reports whether the definition of r at instruction

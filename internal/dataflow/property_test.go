@@ -4,6 +4,7 @@ package dataflow_test
 // programs, the dataflow results must satisfy their defining equations.
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +109,7 @@ func TestDefUseConsistency(t *testing.T) {
 					useSet[u] = true
 				}
 				for _, d := range defs {
-					for _, u := range du.ReachedUses(d, r) {
+					for _, u := range du.ReachedUses(d, ir.Reg(r)) {
 						if !useSet[u] {
 							return false
 						}
@@ -173,5 +174,96 @@ func TestDominanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestForgetReflowRoundTrip: clearing one register with Forget removes
+// it from every set, and Reflow from its uses restores exactly the sets
+// ComputeLiveness found, for every register of random functions.
+func TestForgetReflowRoundTrip(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		for _, fn := range randomFunctions(t, seed) {
+			g, err := cfg.Build(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := dataflow.ComputeLiveness(g)
+			lv := dataflow.ComputeLivenessCap(g, 2*int(fn.NextReg))
+			du := dataflow.ComputeDefUse(g)
+			var stack []int
+			for r := 1; r < int(fn.NextReg); r++ {
+				stack = lv.Forget(g, ir.Reg(r), du.Uses[r], stack)
+				for i := range fn.Instrs {
+					if lv.LiveIn[i].Has(r) || lv.LiveOut[i].Has(r) {
+						t.Fatalf("seed %d %s: r%d still live at %d after Forget", seed, fn.Name, r, i)
+					}
+				}
+				stack = lv.Reflow(g, ir.Reg(r), du.Uses[r], stack)
+			}
+			for i := range fn.Instrs {
+				if !slices.Equal(lv.LiveIn[i].Elems(), want.LiveIn[i].Elems()) ||
+					!slices.Equal(lv.LiveOut[i].Elems(), want.LiveOut[i].Elems()) {
+					t.Fatalf("seed %d %s: instr %d: reflowed sets differ", seed, fn.Name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiSourceReachability: ReachedUsesFrom is the union of
+// ReachedUses over its definitions, and DefsReaching lists exactly the
+// definitions whose ReachedUses meet the given uses.
+func TestMultiSourceReachability(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		for _, fn := range randomFunctions(t, seed) {
+			g, err := cfg.Build(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			du := dataflow.ComputeDefUse(g)
+			for ri, defs := range du.Defs {
+				r := ir.Reg(ri)
+				// Every other definition, and every other use, as sources
+				// and targets.
+				var src, targets []int
+				for j, d := range defs {
+					if j%2 == 0 {
+						src = append(src, d)
+					}
+				}
+				for j, u := range du.Uses[ri] {
+					if j%2 == 1 {
+						targets = append(targets, u)
+					}
+				}
+				union := map[int]bool{}
+				for _, d := range src {
+					for _, u := range du.ReachedUses(d, r) {
+						union[u] = true
+					}
+				}
+				got := du.ReachedUsesFrom(src, r)
+				if len(got) != len(union) || !slices.IsSorted(got) {
+					t.Fatalf("seed %d %s r%d: ReachedUsesFrom = %v, want the %d uses of %v", seed, fn.Name, ri, got, len(union), union)
+				}
+				for _, u := range got {
+					if !union[u] {
+						t.Fatalf("seed %d %s r%d: ReachedUsesFrom has %d, not reached", seed, fn.Name, ri, u)
+					}
+				}
+				var want []int
+				for _, d := range defs {
+					for _, u := range du.ReachedUses(d, r) {
+						if slices.Contains(targets, u) {
+							want = append(want, d)
+							break
+						}
+					}
+				}
+				if got := du.DefsReaching(targets, r); !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s r%d: DefsReaching(%v) = %v, want %v", seed, fn.Name, ri, targets, got, want)
+				}
+			}
+		}
 	}
 }

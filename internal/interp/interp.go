@@ -96,6 +96,19 @@ type Options struct {
 // thousand times the globals of the largest benchmark).
 const MaxMemoryWords = 1 << 24
 
+// MaxCallDepth bounds how deeply calls may nest. Every activation is a
+// Go call costing 0.5–1.7 KiB of Go stack, and a function without locals
+// never reaches the memory limit, so without this bound unbounded
+// recursion would end in the Go runtime's fatal stack overflow, which no
+// recover catches. At 20000 the Go stack stays under 34 MiB, and the
+// bound is over 300 times the deepest nesting the test suite and the
+// benchmark workloads reach (64 calls).
+const MaxCallDepth = 20000
+
+// ErrStackOverflow reports a call that would take the stack past its
+// memory limit or nest calls deeper than MaxCallDepth.
+var ErrStackOverflow = errors.New("interp: stack overflow")
+
 // ErrMemoryLayout reports a program whose memory cannot be laid out:
 // negative globals, globals plus stack beyond MaxMemoryWords, or an
 // initial value outside the globals, which Run reports before allocating
@@ -203,6 +216,8 @@ type machine struct {
 	// start at 0, so the first cycle checks.
 	nextPoll  int64
 	nextCheck int64
+	// depth is the number of live activations.
+	depth int
 }
 
 // Run executes p starting at main.
@@ -376,8 +391,8 @@ func (m *machine) call(d *fn, nargs int) (int64, error) {
 		return 0, d.bad
 	}
 	localBase := m.stackTop
-	if localBase+d.f.LocalWords > m.limit {
-		return 0, fmt.Errorf("interp: stack overflow in %s", d.f.Name)
+	if localBase+d.f.LocalWords > m.limit || m.depth >= MaxCallDepth {
+		return 0, fmt.Errorf("%w in %s", ErrStackOverflow, d.f.Name)
 	}
 	if d.stats == nil {
 		d.stats = m.res.PerFunc[d.f.Name]
@@ -408,8 +423,10 @@ func (m *machine) call(d *fn, nargs int) (int64, error) {
 		regs = frame[:d.nregs]
 	}
 	m.sp, m.stackTop = top, localBase+d.f.LocalWords
+	m.depth++
 	ret, err := m.exec(d, regs, frame[d.frame-d.spills:d.frame], frame[d.frame:], localBase)
 	m.sp, m.stackTop = base, localBase
+	m.depth--
 	return ret, err
 }
 

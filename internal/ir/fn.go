@@ -136,7 +136,17 @@ func (s Span) Empty() bool { return s.End <= s.Start }
 // Regions with no instructions get an empty span positioned inside their
 // parent. The result is recomputed on demand because passes insert and
 // delete instructions. Region IDs are dense (0..NumRegions).
+//
+// The cost is linear: each region's own first and last instruction are
+// found in one scan, then children fold into parents bottom-up.
 func (f *Function) RegionSpans() []Span {
+	return f.regionSpans(nil)
+}
+
+// regionSpans is RegionSpans; with counts non-nil (len NumRegions) it
+// also fills counts[id] with the number of instructions in region id's
+// subtree.
+func (f *Function) regionSpans(counts []int) []Span {
 	n := f.NumRegions
 	if n == 0 {
 		return nil
@@ -145,43 +155,75 @@ func (f *Function) RegionSpans() []Span {
 	for i := range spans {
 		spans[i] = Span{Start: -1, End: -1}
 	}
-	parent := f.RegionParents()
 	for i, in := range f.Instrs {
 		id := in.Region
-		for id >= 0 && id < n {
-			s := &spans[id]
-			if s.Start < 0 {
-				s.Start, s.End = i, i+1
-			} else {
-				if i < s.Start {
-					s.Start = i
-				}
-				if i+1 > s.End {
-					s.End = i + 1
-				}
-			}
-			id = parent[id]
+		if id < 0 || id >= n {
+			continue
+		}
+		s := &spans[id]
+		if s.Start < 0 {
+			s.Start = i
+		}
+		s.End = i + 1
+		if counts != nil {
+			counts[id]++
+		}
+	}
+	// Fold in reverse preorder, so every region is complete before it
+	// joins its parent.
+	parent, order := f.regionOrder()
+	for j := len(order) - 1; j >= 0; j-- {
+		id := order[j]
+		p := parent[id]
+		if p < 0 || p >= n {
+			continue
+		}
+		if counts != nil {
+			counts[p] += counts[id]
+		}
+		s, ps := spans[id], &spans[p]
+		if s.Start < 0 {
+			continue
+		}
+		if ps.Start < 0 || s.Start < ps.Start {
+			ps.Start = s.Start
+		}
+		if s.End > ps.End {
+			ps.End = s.End
 		}
 	}
 	// Give empty regions a zero-width span at their parent's end so that
 	// Contains() is false everywhere but the span is well-formed.
-	if f.Regions != nil {
-		f.Regions.Walk(func(r *Region) {
-			if r.ID >= n {
-				return
+	for _, id := range order {
+		if spans[id].Start >= 0 {
+			continue
+		}
+		pos := 0
+		if p := parent[id]; p >= 0 && p < n {
+			if ps := spans[p]; ps.Start >= 0 {
+				pos = ps.End
 			}
-			if s := spans[r.ID]; s.Start < 0 {
-				pos := 0
-				if r.Parent != nil && r.Parent.ID < n {
-					if ps := spans[r.Parent.ID]; ps.Start >= 0 {
-						pos = ps.End
-					}
-				}
-				spans[r.ID] = Span{Start: pos, End: pos}
-			}
-		})
+		}
+		spans[id] = Span{Start: pos, End: pos}
 	}
 	return spans
+}
+
+// regionOrder returns RegionParents and the region IDs below NumRegions
+// in tree preorder, each once.
+func (f *Function) regionOrder() (parent, order []int) {
+	parent = f.RegionParents()
+	if f.Regions == nil {
+		return parent, nil
+	}
+	seen := make([]bool, len(parent))
+	f.Regions.Walk(func(r *Region) {
+		if r.ID < len(seen) && !seen[r.ID] {
+			seen[r.ID] = true
+			order = append(order, r.ID)
+		}
+	})
+	return parent, order
 }
 
 // RegionParents returns a slice mapping region ID to parent region ID
@@ -208,6 +250,10 @@ func (f *Function) RegionParents() []int {
 // CheckRegions verifies structural invariants of the region tree:
 // every instruction's region exists, and every region's subtree covers a
 // contiguous instruction interval that nests properly inside its parent.
+//
+// A subtree is contiguous exactly when its instruction count equals its
+// span's length, so the check is linear; only a failing region's span is
+// walked, to name the first instruction that breaks it.
 func (f *Function) CheckRegions() error {
 	if f.Regions == nil {
 		return fmt.Errorf("%s: no region tree", f.Name)
@@ -219,22 +265,23 @@ func (f *Function) CheckRegions() error {
 			return fmt.Errorf("%s: instr %d (%s) owned by unknown region %d", f.Name, i, in, in.Region)
 		}
 	}
-	spans := f.RegionSpans()
+	counts := make([]int, f.NumRegions)
+	spans := f.regionSpans(counts)
 	var err error
 	f.Regions.Walk(func(r *Region) {
 		if err != nil {
 			return
 		}
 		s := spans[r.ID]
-		// Contiguity: every instruction inside the span must belong to
-		// the subtree.
-		sub := map[int]bool{}
-		r.Walk(func(c *Region) { sub[c.ID] = true })
-		for i := s.Start; i < s.End; i++ {
-			if !sub[f.Instrs[i].Region] {
-				err = fmt.Errorf("%s: region %d span [%d,%d) broken at instr %d (region %d)",
-					f.Name, r.ID, s.Start, s.End, i, f.Instrs[i].Region)
-				return
+		if !s.Empty() && counts[r.ID] != s.End-s.Start {
+			sub := map[int]bool{}
+			r.Walk(func(c *Region) { sub[c.ID] = true })
+			for i := s.Start; i < s.End; i++ {
+				if !sub[f.Instrs[i].Region] {
+					err = fmt.Errorf("%s: region %d span [%d,%d) broken at instr %d (region %d)",
+						f.Name, r.ID, s.Start, s.End, i, f.Instrs[i].Region)
+					return
+				}
 			}
 		}
 		if r.Parent != nil {

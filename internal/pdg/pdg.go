@@ -234,14 +234,14 @@ func Build(f *ir.Function) (*Graph, error) {
 	seen := map[[3]int]bool{}
 	for r, defs := range du.Defs {
 		for _, d := range defs {
-			for _, u := range du.ReachedUses(d, r) {
+			for _, u := range du.ReachedUses(d, ir.Reg(r)) {
 				from, to := g.blockNode[cg.BlockOf[d]], g.blockNode[cg.BlockOf[u]]
-				k := [3]int{from, to, int(r)}
+				k := [3]int{from, to, r}
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
-				g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: EdgeData, Label: r.String()})
+				g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: EdgeData, Label: ir.Reg(r).String()})
 			}
 		}
 	}

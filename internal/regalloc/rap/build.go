@@ -77,8 +77,10 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 	vars.UnionWith(ownRefs)
 	for _, s := range subs {
 		if gs := a.graphs[s.ID]; gs != nil {
-			for _, r := range gs.Regs() {
-				vars.Add(int(r))
+			for _, n := range gs.NodesByID() {
+				for _, r := range n.Regs {
+					vars.Add(int(r))
+				}
 			}
 		}
 	}

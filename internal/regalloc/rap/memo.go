@@ -251,8 +251,14 @@ func (a *allocator) initMemo() {
 	if a.opts.Memo == nil {
 		return
 	}
+	refs := map[ir.Reg]int{}
+	for r, c := range a.totalRefs {
+		if c > 0 {
+			refs[ir.Reg(r)] = c
+		}
+	}
 	a.hasher = canon.NewHasherFromAnalysis(
-		a.f, MemoSalt(a.k, a.opts), a.spans, a.g.InstrSuccs, a.lv.LiveIn, a.totalRefs)
+		a.f, MemoSalt(a.k, a.opts), a.spans, a.g.InstrSuccs, a.lv.LiveIn, refs)
 	a.memoKeys = map[int]canon.RegionKey{}
 }
 

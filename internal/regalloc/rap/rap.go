@@ -228,12 +228,24 @@ type allocator struct {
 	// (used by the Fig. 5 "already spilled" rule).
 	spilledIn map[int]map[ir.Reg]bool
 
-	// Analysis state, rebuilt by reanalyze after every code edit.
+	// Analysis state, brought up to date after every code edit: rebuilt
+	// by reanalyze, or patched by patchAnalysis after a spill round.
+	// totalRefs[r] counts r's references (one per operand occurrence).
 	g         *cfg.Graph
 	lv        *dataflow.Liveness
 	du        *dataflow.DefUse
 	spans     []ir.Span
-	totalRefs map[ir.Reg]int
+	totalRefs []int
+
+	// Spill-path scratch. jumpers maps each label to the branches
+	// targeting it, built on first use in a spill round (nil after any
+	// edit). visited/visitGen stamp defEscapes' walks: slot i is visited
+	// in the current walk iff visited[i] == visitGen. walk is the stack
+	// shared by defEscapes and the liveness patch.
+	jumpers  map[string][]int
+	visited  []int32
+	visitGen int32
+	walk     []int
 
 	// Region-memo state (nil unless Options.Memo and still pristine).
 	// hasher fingerprints subtrees against the initial analysis; it is
@@ -265,8 +277,18 @@ type allocator struct {
 	stats Stats
 }
 
+// checkPatch, set only by tests, runs after every patched analysis; an
+// error fails the allocation. Tests compare the patch with a full
+// reanalyze.
+var checkPatch func(*allocator) error
+
+// livenessCap is the register capacity reanalyze gives the liveness
+// sets: room for the registers later spill rounds create, so rounds can
+// patch the sets in place until NextReg outgrows it.
+func livenessCap(nextReg ir.Reg) int { return int(nextReg) + int(nextReg)/2 + 64 }
+
 // reanalyze rebuilds the CFG, liveness, def-use chains, region spans and
-// reference counts after the instruction list changed.
+// reference counts from scratch after the instruction list changed.
 func (a *allocator) reanalyze() error {
 	defer a.opts.Trace.StartTimer("rap.phase.analyze")()
 	g, err := cfg.Build(a.f)
@@ -274,22 +296,106 @@ func (a *allocator) reanalyze() error {
 		return fmt.Errorf("rap: %w", err)
 	}
 	a.g = g
-	a.lv = dataflow.ComputeLiveness(g)
-	a.du = dataflow.ComputeDefUse(g)
+	a.lv = dataflow.ComputeLivenessCap(g, livenessCap(a.f.NextReg))
+	a.refresh()
+	return nil
+}
+
+// refresh rebuilds the analyses that cost one linear scan: def-use
+// chains, spans and reference counts.
+func (a *allocator) refresh() {
+	a.du = dataflow.ComputeDefUse(a.g)
 	a.spans = a.f.RegionSpans()
-	a.totalRefs = map[ir.Reg]int{}
+	if cap(a.totalRefs) < int(a.f.NextReg) {
+		a.totalRefs = make([]int, a.f.NextReg)
+	} else {
+		a.totalRefs = a.totalRefs[:a.f.NextReg]
+		clear(a.totalRefs)
+	}
 	var buf []ir.Reg
-	for _, in := range a.f.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			a.totalRefs[u]++
-		}
-		if d := in.Def(); d != ir.None {
-			a.totalRefs[d]++
+	for i := range a.f.Instrs {
+		buf = a.refsAt(i, buf[:0])
+		for _, r := range buf {
+			a.totalRefs[r]++
 		}
 	}
-	a.scratch.resize(int(a.f.NextReg))
+	a.jumpers = nil
+	a.scratch.resize(a.lv.NumRegs)
+}
+
+// patchAnalysis brings the analysis up to date after a spill round's
+// insert-only edit, which changed the liveness of spilled alone and of
+// the registers created since oldNext. Every other register keeps its
+// per-instruction sets: those move to their new indices, and an
+// inserted instruction copies its neighbour's (the LiveIn of the
+// instruction it precedes, the LiveOut of the one it follows). The
+// changed registers are cleared and reflowed from their uses. The CFG,
+// def-use chains, spans and counts are rebuilt, each in linear time.
+//
+// Changing the liveness sets (and refresh's reference counts) in place
+// is safe under the intra-parallel walk: allocateBatch joins every shard
+// before a replay can reach a spill, so no shard reads them while they
+// change, and memoDisable dropped the memo hasher, which borrows LiveIn,
+// before the first edit.
+func (a *allocator) patchAnalysis(edit *regalloc.Edit, spilled []ir.Reg, oldNext ir.Reg) error {
+	defer a.opts.Trace.StartTimer("rap.phase.analyze")()
+	// The old CFG and use sites still describe the sets: clear the
+	// spilled registers' live ranges before the sets move.
+	for _, r := range spilled {
+		a.walk = a.lv.Forget(a.g, r, a.du.Uses[r], a.walk)
+	}
+	g, err := cfg.Build(a.f)
+	if err != nil {
+		return fmt.Errorf("rap: %w", err)
+	}
+	a.g = g
+	moveLiveness(a.lv, edit)
+	a.refresh()
+	for _, r := range spilled {
+		a.walk = a.lv.Reflow(g, r, a.du.Uses[r], a.walk)
+	}
+	for r := oldNext; r < a.f.NextReg; r++ {
+		a.walk = a.lv.Reflow(g, r, a.du.Uses[r], a.walk)
+	}
+	if checkPatch != nil {
+		return checkPatch(a)
+	}
 	return nil
+}
+
+// moveLiveness re-indexes lv across edit, which only inserts: sets move
+// by pointer, inserted instructions get copies.
+func moveLiveness(lv *dataflow.Liveness, edit *regalloc.Edit) {
+	added := 0
+	for _, ins := range edit.Before {
+		added += len(ins)
+	}
+	for _, ins := range edit.After {
+		added += len(ins)
+	}
+	fresh := bitset.NewBatch(2*added, lv.NumRegs)
+	n := len(lv.LiveIn) + added
+	in, out := make([]*bitset.Set, 0, n), make([]*bitset.Set, 0, n)
+	copyOf := func(s *bitset.Set) {
+		fresh[0].Copy(s)
+		fresh[1].Copy(s)
+		in, out = append(in, fresh[0]), append(out, fresh[1])
+		fresh = fresh[2:]
+	}
+	prev := 0
+	for _, i := range edit.Positions(len(lv.LiveIn)) {
+		in, out = append(in, lv.LiveIn[prev:i]...), append(out, lv.LiveOut[prev:i]...)
+		for range edit.Before[i] {
+			copyOf(lv.LiveIn[i])
+		}
+		in, out = append(in, lv.LiveIn[i]), append(out, lv.LiveOut[i])
+		for range edit.After[i] {
+			copyOf(lv.LiveOut[i])
+		}
+		prev = i + 1
+	}
+	lv.LiveIn = append(in, lv.LiveIn[prev:]...)
+	lv.LiveOut = append(out, lv.LiveOut[prev:]...)
 }
 
 // allocateRegion runs the Fig. 2 procedure on region V after recursively
@@ -351,13 +457,7 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 			})
 		}
 		a.stats.SpillRounds++
-		stopSpill := a.opts.Trace.StartTimer("rap.phase.spill")
-		err := a.insertSpillCode(V, res.Spilled)
-		stopSpill()
-		if err != nil {
-			return err
-		}
-		if err := a.reanalyze(); err != nil {
+		if err := a.insertSpillCode(V, res.Spilled); err != nil {
 			return err
 		}
 	}

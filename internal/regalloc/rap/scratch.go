@@ -20,8 +20,10 @@ import (
 // its own regScratch, so concurrent subtree allocations never share a
 // buffer.
 type regScratch struct {
-	// n is the current register universe size (ir.Function.NextReg),
-	// refreshed by reanalyze after every code edit.
+	// n is the register capacity of the liveness sets (at least
+	// ir.Function.NextReg), refreshed after every code edit. Sets are
+	// unioned with liveness sets, and bitset operations index by the
+	// argument's width, so they may be no narrower.
 	n      int
 	sets   []*bitset.Set
 	counts []*regCounts

@@ -24,6 +24,7 @@ import (
 //     load before its uses and each loaded use has stores after its
 //     definitions).
 func (a *allocator) insertSpillCode(V *ir.Region, spilledNodes []*ig.Node) error {
+	stop := a.opts.Trace.StartTimer("rap.phase.spill")
 	// The first spill edit ends memoization for this function: region
 	// contents are about to diverge from their fingerprints.
 	a.memoDisable()
@@ -34,17 +35,30 @@ func (a *allocator) insertSpillCode(V *ir.Region, spilledNodes []*ig.Node) error
 		rec = map[ir.Reg]bool{}
 		a.spilledIn[V.ID] = rec
 	}
+	// Positions refer to the pre-edit list until the edit applies, so
+	// V's own instructions are found once per round.
+	own := a.ownIndices(V)
+	oldNext, remats := a.f.NextReg, a.stats.Rematerialized
+	var spilled []ir.Reg
 	// Deterministic order: nodes as reported by the colourer, members
 	// ascending.
 	for _, n := range spilledNodes {
 		for _, v := range append([]ir.Reg(nil), n.Regs...) {
-			a.spillReg(V, span, v, edit)
+			a.spillReg(V, span, own, v, edit)
 			rec[a.sp.Origin(v)] = true
 			a.stats.RegsSpilled++
+			spilled = append(spilled, v)
 		}
 	}
 	edit.Apply(a.f)
-	return nil
+	stop()
+	// Rematerialization rewrites and deletes instructions across the
+	// function, and the liveness sets have room for only so many new
+	// registers: both take the full rebuild.
+	if a.stats.Rematerialized != remats || int(a.f.NextReg) > a.lv.NumRegs {
+		return a.reanalyze()
+	}
+	return a.patchAnalysis(edit, spilled, oldNext)
 }
 
 // storeAfter/loadBefore build spill instructions adjacent to instruction
@@ -61,7 +75,7 @@ func (a *allocator) loadBefore(edit *regalloc.Edit, idx int, dst ir.Reg, slot in
 	})
 }
 
-func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regalloc.Edit) {
+func (a *allocator) spillReg(V *ir.Region, span ir.Span, own []int, v ir.Reg, edit *regalloc.Edit) {
 	// Extension: a rematerializable victim is recomputed at its uses
 	// instead of travelling through a spill slot. The rewrite is global
 	// (v disappears from the function), so every saved subregion summary
@@ -84,7 +98,6 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 
 	// --- V's own code: load before each use, store after each def,
 	// rename (§3.1.4 first step). ---
-	own := a.ownIndices(V)
 	var vP ir.Reg = ir.None
 	ensureVP := func() ir.Reg {
 		if vP == ir.None {
@@ -182,37 +195,31 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 	// --- Recursive fixup outside the region. ---
 	// Uses outside V reached by definitions inside V must load from the
 	// slot (the in-region value now flows through memory only).
-	needStore := map[int]bool{}
-	needLoad := map[int]bool{}
-	for _, d := range defsOfV {
-		if !span.Contains(d) {
-			continue
-		}
-		for _, u := range a.du.ReachedUses(d, v) {
-			if !span.Contains(u) {
-				needLoad[u] = true
-			}
-		}
-	}
-	// Every definition reaching a loaded use must store (including
-	// definitions outside V; in-region definitions already got stores).
+	var inDefs, inUses, loads []int
 	for _, d := range defsOfV {
 		if span.Contains(d) {
-			continue
-		}
-		for _, u := range a.du.ReachedUses(d, v) {
-			if needLoad[u] || span.Contains(u) {
-				// The definition's value flows into the region or into a
-				// loaded use; it must be in memory.
-				needStore[d] = true
-				break
-			}
+			inDefs = append(inDefs, d)
 		}
 	}
-	for _, d := range sortedKeys(needStore) {
-		a.storeAfter(edit, d, v, slot)
+	for _, u := range a.du.ReachedUsesFrom(inDefs, v) {
+		if !span.Contains(u) {
+			loads = append(loads, u)
+		}
 	}
-	for _, u := range sortedKeys(needLoad) {
+	// Every definition outside V whose value flows into the region or
+	// into a loaded use must store (in-region definitions already got
+	// stores).
+	for _, u := range usesOfV {
+		if span.Contains(u) {
+			inUses = append(inUses, u)
+		}
+	}
+	for _, d := range a.du.DefsReaching(append(inUses, loads...), v) {
+		if !span.Contains(d) {
+			a.storeAfter(edit, d, v, slot)
+		}
+	}
+	for _, u := range loads {
 		a.loadBefore(edit, u, v, slot)
 	}
 }
@@ -222,15 +229,20 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 // redefinitions of v, and checks liveness of v at the first instruction
 // reached outside the span.
 func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
-	visited := make([]bool, len(a.f.Instrs))
-	stack := append([]int(nil), a.g.InstrSuccs[d]...)
+	if len(a.visited) < len(a.f.Instrs) {
+		a.visited = make([]int32, len(a.f.Instrs))
+		a.visitGen = 0
+	}
+	a.visitGen++
+	stack := append(a.walk[:0], a.g.InstrSuccs[d]...)
+	defer func() { a.walk = stack }()
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[j] {
+		if a.visited[j] == a.visitGen {
 			continue
 		}
-		visited[j] = true
+		a.visited[j] = a.visitGen
 		if !span.Contains(j) {
 			if a.lv.LiveIn[j].Has(int(v)) {
 				return true
@@ -257,11 +269,15 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 //     position after it is returned with reexecutes=true so callers can
 //     compensate.
 func (a *allocator) subregionEntryPos(sspan ir.Span) (pos int, reexecutes bool) {
-	jumpers := a.labelJumpers()
+	// Spill rounds rename registers in place and apply their insertions
+	// only at the end, so one index serves every call of a round.
+	if a.jumpers == nil {
+		a.jumpers = a.labelJumpers()
+	}
 	pos = sspan.Start
 	for pos < sspan.End && a.f.Instrs[pos].Op == ir.OpLabel {
 		internal, external := false, false
-		for _, j := range jumpers[a.f.Instrs[pos].Label] {
+		for _, j := range a.jumpers[a.f.Instrs[pos].Label] {
 			if sspan.Contains(j) {
 				internal = true
 			} else {
@@ -294,13 +310,4 @@ func (a *allocator) labelJumpers() map[string][]int {
 		}
 	}
 	return m
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

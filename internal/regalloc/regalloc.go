@@ -5,6 +5,7 @@ package regalloc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -143,17 +144,42 @@ func (e *Edit) Empty() bool {
 	return len(e.Before) == 0 && len(e.After) == 0 && len(e.Delete) == 0
 }
 
-// Apply rewrites f's instruction list with the scheduled edits.
+// Positions returns, ascending, the original indices below n that the
+// edit inserts at or deletes.
+func (e *Edit) Positions(n int) []int {
+	pos := make([]int, 0, len(e.Before)+len(e.After)+len(e.Delete))
+	for i := range e.Before {
+		pos = append(pos, i)
+	}
+	for i := range e.After {
+		pos = append(pos, i)
+	}
+	for i := range e.Delete {
+		pos = append(pos, i)
+	}
+	slices.Sort(pos)
+	pos = slices.Compact(pos)
+	lo, _ := slices.BinarySearch(pos, 0)
+	hi, _ := slices.BinarySearch(pos, n)
+	return pos[lo:hi]
+}
+
+// Apply rewrites f's instruction list with the scheduled edits. Runs of
+// untouched instructions are copied in bulk, so the cost is linear in
+// the body plus the edits.
 func (e *Edit) Apply(f *ir.Function) {
 	out := make([]*ir.Instr, 0, len(f.Instrs)+len(e.Before)+len(e.After))
-	for i, in := range f.Instrs {
+	prev := 0
+	for _, i := range e.Positions(len(f.Instrs)) {
+		out = append(out, f.Instrs[prev:i]...)
 		out = append(out, e.Before[i]...)
 		if !e.Delete[i] {
-			out = append(out, in)
+			out = append(out, f.Instrs[i])
 		}
 		out = append(out, e.After[i]...)
+		prev = i + 1
 	}
-	f.Instrs = out
+	f.Instrs = append(out, f.Instrs[prev:]...)
 }
 
 // SpillEverywhere implements Chaitin-style spilling for a load/store

@@ -6,6 +6,7 @@ package testutil
 import (
 	"fmt"
 	"reflect"
+	"strings"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -66,4 +67,22 @@ func AllocateFunc(p *ir.Program, alloc func(*ir.Function) error) (*ir.Program, e
 		}
 	}
 	return cp, nil
+}
+
+// NestedIfs returns a MiniC program whose main is a chain of depth
+// nested if statements, each arm one level deeper, with a few values
+// live across the whole chain: deep region trees for the front end and
+// spill rounds for the allocators.
+func NestedIfs(depth int) string {
+	var b strings.Builder
+	b.WriteString("int main() {\n\tint x = 1;\n\tint y = 2;\n\tint z = 3;\n\tint acc = 0;\n")
+	for d := 0; d < depth; d++ {
+		fmt.Fprintf(&b, "if (x < %d) {\nacc = acc + y * %d - z;\n", d+2, d%7+1)
+		if d%2 == 1 {
+			b.WriteString("x = x + 1;\ny = y + acc % 5;\n")
+		}
+	}
+	b.WriteString(strings.Repeat("}\n", depth))
+	b.WriteString("\tprint(acc + x + y + z);\n\treturn 0;\n}\n")
+	return b.String()
 }
